@@ -43,7 +43,7 @@ from repro.obs.bus import Bus
 from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.metrics import Histogram, MetricsRecorder
 from repro.obs.openmetrics import render_openmetrics
-from repro.obs.watchdog import Watchdog
+from repro.obs.watchdog import DEFAULT_REASONS
 from repro.simulation.host import ProtocolHost
 from repro.simulation.network import Network, Packet
 from repro.simulation.trace import SimulationStats, Trace, TraceRecord
@@ -98,22 +98,14 @@ def event_from_wire(body: Dict[str, Any]) -> "tuple[float, int, Event, Message]"
         raise codec.MalformedFrame("bad event body %r: %s" % (body, exc)) from exc
 
 
-class TapTrace(Trace):
-    """Backwards-compatible alias: the tap machinery (``attach_tap``
-    streaming every record to ``tap(record, message)``) moved into the
-    base :class:`~repro.simulation.trace.Trace` when the WAL sink grew a
-    second consumer for it.  Past records are still the attacher's job
-    (see :meth:`NetHost._attach_observer`, which replays)."""
-
-
 class NetProtocolHost(ProtocolHost):
     """A :class:`ProtocolHost` whose latency accounting is wall-clock.
 
-    The receiver never holds the sender's trace, so ``deliver`` cannot
-    look up the send/invoke records; instead the wall timestamps carried
-    in the user frame (stashed by :meth:`NetHost._dispatch_packet`) feed
-    the same :class:`~repro.simulation.trace.SimulationStats` fields.
-    Latencies are therefore **real seconds**, not virtual units.
+    The receiver never holds the sender's trace, so latency accounting
+    cannot look up the send/invoke records; instead the wall timestamps
+    carried in the user frame (stashed by :meth:`NetHost._dispatch_packet`)
+    feed memory-bounded histograms.  Latencies are therefore **real
+    seconds**, not virtual units.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -152,22 +144,8 @@ class NetProtocolHost(ProtocolHost):
             return sent, self.invoke_wall.get(mid, sent)
         return now, now
 
-    def deliver(self, message: Message) -> None:
-        """Execute ``x.r`` with wall-clock latency accounting."""
-        from repro.simulation.host import ProtocolError
-
-        if message.id not in self._received:
-            raise ProtocolError(
-                "protocol delivered %r before it was received" % message.id
-            )
-        if message.id in self._delivered:
-            raise ProtocolError("message %r delivered twice" % message.id)
-        self._delivered.add(message.id)
-        self.trace.record(self.sim.now, self.process_id, Event.deliver(message.id))
-        self.stats.deliveries += 1
-        delayed = self.sim.now > self._receive_time[message.id]
-        if delayed:
-            self.stats.delayed_deliveries += 1
+    def _account_latency(self, message: Message) -> None:
+        """Observe the wall-clock latencies of a message delivered now."""
         now = time.time()
         sent = self.sent_wall.pop(message.id, None)
         if sent is None:
@@ -179,26 +157,6 @@ class NetProtocolHost(ProtocolHost):
         if invoked is None:
             invoked = self.invoke_wall.get(message.id, sent)
         self.e2e_latency.observe(now - invoked)
-        bus = self._bus
-        if bus is not None and bus.active:
-            bus.emit(
-                "host.deliver",
-                self.sim.now,
-                message_id=message.id,
-                process=self.process_id,
-                sender=message.sender,
-                delayed=delayed,
-            )
-        if self.delivery_listener is not None:
-            self.delivery_listener(message)
-
-    @property
-    def pending_local(self) -> int:
-        """Messages this process still owes work on: invoked-but-unsent
-        plus received-but-undelivered (the graceful-drain condition)."""
-        return len(self._invoked - self._sent) + len(
-            self._received - self._delivered
-        )
 
 
 class NetHost:
@@ -274,7 +232,7 @@ class NetHost:
             bus=self.bus,
             transport=outbound,
         )
-        self.trace = TapTrace(n_processes)
+        self.trace = Trace(n_processes)
         self.stats = SimulationStats()
         self.host = NetProtocolHost(
             self.clock,  # type: ignore[arg-type]
@@ -289,17 +247,14 @@ class NetHost:
         #: The in-host observability plane (all opt-out via
         #: ``observability=False`` for overhead measurements): a flight
         #: recorder taping the last ``flight_capacity`` probe events with
-        #: vector timestamps, a metrics recorder backing the METRICS
-        #: frame's OpenMetrics exposition, and the liveness watchdog
-        #: whose diagnoses ride the STATS reply.
+        #: vector timestamps and a metrics recorder backing the METRICS
+        #: frame's OpenMetrics exposition.
         self.flight: Optional[FlightRecorder] = None
         self.metrics: Optional[MetricsRecorder] = None
-        self.watchdog: Optional[Watchdog] = None
         if observability:
             self.flight = FlightRecorder(process_id, capacity=flight_capacity)
             self.flight.attach(self.bus)
             self.metrics = MetricsRecorder(self.bus)
-            self.watchdog = Watchdog(self.bus)
             self.transport._vc_for = self._vc_for_packet
         self.draining = False
         self.errors: List[str] = []
@@ -485,22 +440,17 @@ class NetHost:
         self.host.invoke(message)
         # Rising edge checked inline (the periodic loop would lag a
         # burst); the falling edge is the resilience loop's job.
-        if (
-            not self._congested
-            and self.local_pending() > self.resilience.high_watermark
-        ):
-            self._set_congested(True, self.local_pending())
-
-    def local_pending(self) -> int:
-        """Local drain condition (see :attr:`NetProtocolHost.pending_local`)."""
-        return self.host.pending_local
+        if not self._congested:
+            pending = self.host.pending_local
+            if pending > self.resilience.high_watermark:
+                self._set_congested(True, pending)
 
     async def drain(self, timeout: float = 10.0) -> bool:
         """Stop accepting invokes; wait until local obligations settle."""
         self.draining = True
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            if self.local_pending() == 0:
+            if self.host.pending_local == 0:
                 return True
             await asyncio.sleep(0.02)
         return False
@@ -514,7 +464,7 @@ class NetHost:
         if self._unsubscribe_bridge is not None:
             self._unsubscribe_bridge()
             self._unsubscribe_bridge = None
-        for recorder in (self.flight, self.metrics, self.watchdog):
+        for recorder in (self.flight, self.metrics):
             if recorder is not None:
                 recorder.close()
         if self.wal is not None:
@@ -801,7 +751,7 @@ class NetHost:
                 self._supervise_redial(peer)
 
     def _check_backpressure(self) -> None:
-        pending = self.local_pending()
+        pending = self.host.pending_local
         if not self._congested and pending > self.resilience.high_watermark:
             self._set_congested(True, pending)
         elif self._congested and pending < self.resilience.low_watermark:
@@ -1125,7 +1075,7 @@ class NetHost:
             "delayed_deliveries": stats.delayed_deliveries,
             "retransmissions": stats.retransmissions,
             "duplicate_receives": stats.duplicate_receives,
-            "pending": self.local_pending(),
+            "pending": self.host.pending_local,
             "frames_sent": self.transport.frames_sent,
             "bytes_sent": self.transport.bytes_sent,
             "errors": list(self.errors),
@@ -1148,32 +1098,29 @@ class NetHost:
             "frames_queued": self.transport.pending_frames,
             "frames_shed": self.transport.user_shed + self.transport.control_shed,
         })
-        if self.watchdog is not None:
-            protocols: List[Optional[object]] = [None] * self.n_processes
-            protocols[self.process_id] = self.host.protocol
-            # Only locally-diagnosable phases: this host's bus never sees
-            # the remote deliver, so every delivered message would read
-            # "in-flight" to its sender forever.  Inhibited (invoked but
-            # never released here) and buffered (received but never
-            # delivered here) are authoritative local knowledge;
-            # global in-flight detection is the load generator's quiesce.
-            stuck = [
-                entry
-                for entry in self.watchdog.stuck(protocols=protocols)
-                if entry.phase != "in-flight"
-            ]
-            body["stuck_total"] = len(stuck)
-            body["stuck"] = [
-                {
-                    "message_id": entry.message_id,
-                    "phase": entry.phase,
-                    "process": entry.process,
-                    "since": entry.since,
-                    "since_wall": self.clock.wall_at(entry.since),
-                    "reason": entry.reason,
-                }
-                for entry in stuck[:20]
-            ]
+        # Only locally diagnosable phases, straight from the host's
+        # in-flight ledger: inhibited (invoked here, not yet released)
+        # and buffered (received here, not yet delivered).  A sender
+        # never sees the remote deliver, so global in-flight detection is
+        # the load generator's quiesce.
+        host = self.host
+        stuck = sorted(
+            [(mid, "inhibited", since) for mid, since in host.inhibited.items()]
+            + [(mid, "buffered", since) for mid, since in host.buffered.items()]
+        )
+        body["stuck_total"] = len(stuck)
+        body["stuck"] = [
+            {
+                "message_id": mid,
+                "phase": phase,
+                "process": self.process_id,
+                "since": since,
+                "since_wall": self.clock.wall_at(since),
+                "reason": host.protocol.blocking_reason(mid)
+                or DEFAULT_REASONS[phase],
+            }
+            for mid, phase, since in stuck[:20]
+        ]
         outbound = self.outbound
         if outbound is not self.transport:  # fault layer attached
             body.update(

@@ -52,7 +52,8 @@ class WallClock:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = 0.0
         #: Wall time of :meth:`start` -- converts virtual stamps (e.g. a
-        #: watchdog's ``since``) back to wall clock for cross-host views.
+        #: STATS stuck entry's ``since``) back to wall clock for cross-host
+        #: views.
         self.started_wall = 0.0
         self._handles: Set[asyncio.TimerHandle] = set()
         self._closed = False

@@ -426,7 +426,6 @@ class MetricsRecorder:
         self._invoke_time: Dict[str, float] = {}
         self._release_time: Dict[str, float] = {}
         self._receive_time: Dict[str, float] = {}
-        self._tag_bytes: Dict[str, int] = {}
         self._occupancy: Dict[int, int] = {}
         self._channel_send_high: Dict[Tuple[int, int], float] = {}
         self._unsubscribers = [
@@ -476,7 +475,6 @@ class MetricsRecorder:
         message_id = event.data["message_id"]
         tag_bytes = event.data["tag_bytes"]
         self._release_time[message_id] = event.time
-        self._tag_bytes[message_id] = tag_bytes
         registry = self.registry
         registry.counter("messages.user", "user messages released").inc()
         registry.counter("tag.bytes", "total tag bytes piggybacked").inc(tag_bytes)

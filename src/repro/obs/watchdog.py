@@ -32,6 +32,13 @@ from repro.obs.bus import Bus, ProbeEvent
 from repro.simulation.trace import Trace
 
 
+#: The reason given for a held message when the protocol gives none.
+DEFAULT_REASONS = {
+    "inhibited": "protocol never released the send",
+    "buffered": "protocol never delivered after receive",
+}
+
+
 @dataclass(frozen=True)
 class StuckMessage:
     """One undelivered message and the diagnosis of what blocks it."""
@@ -62,10 +69,6 @@ class Watchdog:
         self._receiver: Dict[str, int] = {}
         self._released: Dict[str, float] = {}
         self._received: Dict[str, float] = {}
-        #: Where the receive happened -- lets a *receiver-side* watchdog
-        #: (one net host's bus, which never sees the peer's invoke)
-        #: still report messages buffered locally.
-        self._receive_process: Dict[str, int] = {}
         self._delivered: Dict[str, float] = {}
         self._dropped: Dict[str, float] = {}
         self._retransmits: Dict[str, int] = {}
@@ -123,9 +126,6 @@ class Watchdog:
 
     def _on_receive(self, event: ProbeEvent) -> None:
         self._received[event.data["message_id"]] = event.time
-        process = event.data.get("process")
-        if process is not None:
-            self._receive_process[event.data["message_id"]] = process
 
     def _on_deliver(self, event: ProbeEvent) -> None:
         self._delivered[event.data["message_id"]] = event.time
@@ -176,7 +176,7 @@ class Watchdog:
             if message_id not in self._released:
                 phase, process = "inhibited", sender
                 since = self._invoked[message_id]
-                reason = "protocol never released the send"
+                reason = DEFAULT_REASONS[phase]
             elif message_id not in self._received:
                 phase, process = "in-flight", sender
                 since = self._released[message_id]
@@ -197,7 +197,7 @@ class Watchdog:
             else:
                 phase, process = "buffered", receiver
                 since = self._received[message_id]
-                reason = "protocol never delivered after receive"
+                reason = DEFAULT_REASONS[phase]
             detail = self._protocol_reason(protocols, process, message_id)
             if detail:
                 # Network loss outranks the protocol's own account -- the
@@ -214,27 +214,6 @@ class Watchdog:
                     phase=phase,
                     process=process,
                     since=since,
-                    reason=reason,
-                )
-            )
-        # Receiver-side view: a message this watchdog saw arrive but whose
-        # invoke happened on a bus it is not subscribed to (each net host
-        # has its own).  In the simulator one watchdog sees every process,
-        # so this loop adds nothing there.
-        for message_id in sorted(self._received):
-            if message_id in self._invoked or message_id in self._delivered:
-                continue
-            process = self._receive_process.get(message_id, -1)
-            reason = (
-                self._protocol_reason(protocols, process, message_id)
-                or "protocol never delivered after receive"
-            )
-            reports.append(
-                StuckMessage(
-                    message_id=message_id,
-                    phase="buffered",
-                    process=process,
-                    since=self._received[message_id],
                     reason=reason,
                 )
             )

@@ -4,11 +4,16 @@ The host is the boundary the paper draws around inhibitory protocols: the
 application *requests* (invoke), the protocol decides when to *release*
 (send) and when to *deliver*; arrivals (receive) cannot be refused.  The
 host enforces the event preconditions and records everything.
+
+The trace is the host's only history: the exactly-once checks ask it
+which events already happened.  Beside it the host keeps just the
+messages it is still holding (its in-flight ledger), so per-host state
+grows with the messages in flight, not with the messages ever seen.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.events import Event, Message
 from repro.simulation.network import Network, Packet
@@ -102,11 +107,11 @@ class ProtocolHost:
         self.n_processes = network.n_processes
         self.protocol = protocol
         self.ctx = HostContext(self)
-        self._invoked: Set[str] = set()
-        self._sent: Set[str] = set()
-        self._received: Set[str] = set()
-        self._receive_time: Dict[str, float] = {}
-        self._delivered: Set[str] = set()
+        #: The in-flight ledger.  ``inhibited``: message id -> invoke time
+        #: of each send invoked here and not yet released.  ``buffered``:
+        #: message id -> receive time of each arrival not yet delivered.
+        self.inhibited: Dict[str, float] = {}
+        self.buffered: Dict[str, float] = {}
         # Reactive applications (repro.apps) observe deliveries.
         self.delivery_listener: Optional[Any] = None
         # The WAL's redo-log hook (repro.wal.sink.WalSink.attach_host):
@@ -134,13 +139,14 @@ class ProtocolHost:
                 "message %r invoked at process %d but its sender is %d"
                 % (message.id, self.process_id, message.sender)
             )
-        if message.id in self._invoked:
+        invoke = Event.invoke(message.id)
+        if self.trace.has_event(invoke):
             raise ProtocolError("message %r invoked twice" % message.id)
         if self.input_listener is not None:
             self.input_listener(self.process_id, "invoke", message)
         self.trace.register_message(message)
-        self._invoked.add(message.id)
-        self.trace.record(self.sim.now, self.process_id, Event.invoke(message.id))
+        self.inhibited[message.id] = self.sim.now
+        self.trace.record(self.sim.now, self.process_id, invoke)
         bus = self._bus
         if bus is not None and bus.active:
             bus.emit(
@@ -151,7 +157,7 @@ class ProtocolHost:
                 receiver=message.receiver,
             )
         self.protocol.on_invoke(self.ctx, message)
-        if message.id not in self._sent and bus is not None and bus.active:
+        if message.id in self.inhibited and bus is not None and bus.active:
             # The protocol returned without releasing: the send is inhibited.
             bus.emit(
                 "host.inhibit",
@@ -164,13 +170,12 @@ class ProtocolHost:
 
     def release(self, message: Message, tag: Any) -> None:
         """Execute ``x.s``: validate, record, and transmit."""
-        if message.id not in self._invoked:
+        if self.inhibited.pop(message.id, None) is None:
+            if self._sent_here(message):
+                raise ProtocolError("message %r released twice" % message.id)
             raise ProtocolError(
                 "protocol released %r before it was invoked" % message.id
             )
-        if message.id in self._sent:
-            raise ProtocolError("message %r released twice" % message.id)
-        self._sent.add(message.id)
         self.trace.record(self.sim.now, self.process_id, Event.send(message.id))
         tag_bytes = estimate_size(tag)
         self.stats.user_messages += 1
@@ -190,22 +195,21 @@ class ProtocolHost:
 
     def deliver(self, message: Message) -> None:
         """Execute ``x.r``: validate, record, account latency."""
-        if message.id not in self._received:
+        received_at = self.buffered.pop(message.id, None)
+        if received_at is None:
+            if message.receiver == self.process_id and self.trace.has_event(
+                Event.deliver(message.id)
+            ):
+                raise ProtocolError("message %r delivered twice" % message.id)
             raise ProtocolError(
                 "protocol delivered %r before it was received" % message.id
             )
-        if message.id in self._delivered:
-            raise ProtocolError("message %r delivered twice" % message.id)
-        self._delivered.add(message.id)
         self.trace.record(self.sim.now, self.process_id, Event.deliver(message.id))
         self.stats.deliveries += 1
-        delayed = self.sim.now > self._receive_time[message.id]
+        delayed = self.sim.now > received_at
         if delayed:
             self.stats.delayed_deliveries += 1
-        send_time = self.trace.time_of(Event.send(message.id))
-        self.stats.delivery_latencies.append(self.sim.now - send_time)
-        invoke_time = self.trace.time_of(Event.invoke(message.id))
-        self.stats.end_to_end_latencies.append(self.sim.now - invoke_time)
+        self._account_latency(message)
         bus = self._bus
         if bus is not None and bus.active:
             bus.emit(
@@ -219,6 +223,30 @@ class ProtocolHost:
         if self.delivery_listener is not None:
             self.delivery_listener(message)
 
+    def _account_latency(self, message: Message) -> None:
+        """Record the send->deliver and invoke->deliver latencies of a
+        message delivered just now, read off the trace's virtual times."""
+        now = self.sim.now
+        self.stats.delivery_latencies.append(
+            now - self.trace.time_of(Event.send(message.id))
+        )
+        self.stats.end_to_end_latencies.append(
+            now - self.trace.time_of(Event.invoke(message.id))
+        )
+
+    @property
+    def pending_local(self) -> int:
+        """Messages this process still owes work on: invoked-but-unsent
+        plus received-but-undelivered (the graceful-drain condition)."""
+        return len(self.inhibited) + len(self.buffered)
+
+    def _sent_here(self, message: Message) -> bool:
+        """Whether this process already executed ``message``'s send
+        (only the sender can: invoke checks the sender)."""
+        return message.sender == self.process_id and self.trace.has_event(
+            Event.send(message.id)
+        )
+
     def send_control(self, dst: int, payload: Any) -> None:
         """Emit a control message and account its cost."""
         self.stats.control_messages += 1
@@ -227,7 +255,7 @@ class ProtocolHost:
 
     def retransmit_user(self, message: Message, tag: Any) -> None:
         """Re-send an already-released user message (ARQ recovery)."""
-        if message.id not in self._sent:
+        if not self._sent_here(message):
             raise ProtocolError(
                 "protocol retransmitted %r before it was released" % message.id
             )
@@ -275,7 +303,8 @@ class ProtocolHost:
         if packet.is_user:
             message = packet.message
             assert message is not None
-            if message.id in self._received:
+            receive = Event.receive(message.id)
+            if self.trace.has_event(receive):
                 # A second copy (network duplication or a retransmission
                 # racing the original).  The receive event already happened;
                 # protocols that deduplicate get the copy via on_duplicate,
@@ -289,11 +318,8 @@ class ProtocolHost:
                     return
                 raise ProtocolError("message %r received twice" % message.id)
             self.trace.register_message(message)
-            self._received.add(message.id)
-            self._receive_time[message.id] = self.sim.now
-            self.trace.record(
-                self.sim.now, self.process_id, Event.receive(message.id)
-            )
+            self.buffered[message.id] = self.sim.now
+            self.trace.record(self.sim.now, self.process_id, receive)
             bus = self._bus
             if bus is not None and bus.active:
                 bus.emit(

@@ -13,8 +13,8 @@ Two replay shapes:
 
 - :func:`replay_into_host` pushes the inputs back through a live
   :class:`~repro.simulation.host.ProtocolHost` with outbound transport
-  and timers suppressed.  The host's own bookkeeping (trace, dedup sets,
-  receive times, stats) rebuilds alongside the protocol -- this is what
+  and timers suppressed.  The host's own bookkeeping (trace, in-flight
+  ledger, stats) rebuilds alongside the protocol -- this is what
   a restarted :class:`~repro.net.host.NetHost` uses.
 - :func:`rebuild_protocol` replays into a *fresh protocol instance*
   behind a null context, mirroring the host's dedup semantics.  The sim

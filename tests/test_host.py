@@ -91,6 +91,40 @@ class TestDeliverPreconditions:
         with pytest.raises(ProtocolError, match="delivered twice"):
             sim.run()
 
+    def test_deliver_at_another_process_of_a_shared_trace(self):
+        sim, hosts, protocols, trace, _ = rig(n=3)
+        protocols[1].on_message_action = lambda ctx, m, tag: None
+        hosts[0].invoke(M1)
+        sim.run()
+        with pytest.raises(ProtocolError, match="before it was received"):
+            hosts[2].deliver(M1)
+        hosts[1].deliver(M1)
+        with pytest.raises(ProtocolError, match="before it was received"):
+            hosts[2].deliver(M1)
+        assert trace.undelivered_messages() == []
+
+
+class TestReceivePreconditions:
+    def test_second_arrival_without_dedup_raises(self):
+        sim, hosts, protocols, _, _ = rig()
+
+        def twice(ctx, message):
+            ctx.release(message)
+            ctx.retransmit(message)
+
+        protocols[0].on_invoke_action = twice
+        hosts[0].invoke(M1)
+        with pytest.raises(ProtocolError, match="received twice"):
+            sim.run()
+
+
+class TestRetransmitPreconditions:
+    def test_retransmit_before_release(self):
+        _, hosts, protocols, _, _ = rig()
+        protocols[0].on_invoke_action = lambda ctx, m: ctx.retransmit(m)
+        with pytest.raises(ProtocolError, match="before it was released"):
+            hosts[0].invoke(M1)
+
 
 class TestAccounting:
     def test_full_transfer_recorded(self):

@@ -1,6 +1,7 @@
 """Net-host runtime tests: wall clock, framing adapters, shutdown."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -9,7 +10,6 @@ from repro.faults import FaultPlan
 from repro.net import (
     AsyncTransport,
     NetHost,
-    TapTrace,
     WallClock,
     free_ports,
 )
@@ -17,7 +17,9 @@ from repro.net import codec
 from repro.net.host import event_from_wire, event_to_wire
 from repro.net.transport import packet_from_frame
 from repro.protocols import catalogue
+from repro.protocols.base import Protocol
 from repro.simulation.network import Packet
+from repro.simulation.trace import Trace
 
 
 class TestWallClock:
@@ -124,7 +126,7 @@ class TestPacketFraming:
 
 class TestEventWire:
     def test_event_round_trips_through_a_tap(self):
-        trace = TapTrace(2)
+        trace = Trace(2)
         message = Message(id="m1", sender=0, receiver=1)
         seen = []
         trace.attach_tap(lambda record, msg: seen.append((record, msg)))
@@ -500,3 +502,118 @@ class TestNetHostLifecycle:
 
         first, second = asyncio.run(scenario())
         assert first == second == (123.0, 120.0)
+
+
+class Stubborn(Protocol):
+    """P0 releases every send at once, P1 never releases; nobody delivers."""
+
+    name = "stubborn"
+
+    def __init__(self):
+        self.held = set()
+
+    def on_invoke(self, ctx, message):
+        if ctx.process_id == 0:
+            ctx.release(message)
+
+    def on_user_message(self, ctx, message, tag):
+        self.held.add(message.id)
+
+    def blocking_reason(self, message_id):
+        if message_id in self.held:
+            return "holding %s for an oracle" % message_id
+        return "waiting for an oracle"
+
+
+async def _pair(factory, run_id):
+    ports = free_ports(2)
+    hosts = [
+        NetHost(factory, process_id, ports, run_id=run_id, time_scale=0.001)
+        for process_id in range(2)
+    ]
+    for host in hosts:
+        await host.start()
+    for host in hosts:
+        await host.ready()
+    return hosts
+
+
+async def _wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        await asyncio.sleep(0.005)
+
+
+class TestStatsStuckList:
+    def test_inhibited_at_sender_and_buffered_at_receiver(self):
+        async def scenario():
+            hosts = await _pair(lambda pid, n: Stubborn(), "stuck")
+            before = time.time()
+            hosts[1].invoke(Message(id="m2", sender=1, receiver=0))
+            hosts[0].invoke(Message(id="m3", sender=0, receiver=1))
+            hosts[1].invoke(Message(id="m1", sender=1, receiver=0))
+            await _wait_until(lambda: "m3" in hosts[1].host.protocol.held)
+            after = time.time()
+            bodies = [host.stats_body() for host in hosts]
+            for host in hosts:
+                await host.shutdown()
+            return before, after, bodies
+
+        before, after, (sender, receiver) = asyncio.run(scenario())
+        # P0 released m3: it is neither inhibited nor buffered there.
+        assert sender["stuck_total"] == 0
+        assert sender["stuck"] == []
+        assert receiver["stuck_total"] == 3
+        stuck = receiver["stuck"]
+        assert [entry["message_id"] for entry in stuck] == ["m1", "m2", "m3"]
+        assert [(entry["phase"], entry["process"]) for entry in stuck] == [
+            ("inhibited", 1),
+            ("inhibited", 1),
+            ("buffered", 1),
+        ]
+        assert [entry["reason"] for entry in stuck] == [
+            "waiting for an oracle",
+            "waiting for an oracle",
+            "holding m3 for an oracle",
+        ]
+        for entry in stuck:
+            assert set(entry) == {
+                "message_id", "phase", "process", "since", "since_wall", "reason"
+            }
+            assert before - 0.05 <= entry["since_wall"] <= after + 0.05
+
+    def test_clean_run_asks_no_blocking_reason(self):
+        calls = []
+
+        def factory(pid, n):
+            protocol = _fifo_factory()(pid, n)
+            original = protocol.blocking_reason
+
+            def counted(message_id):
+                calls.append(message_id)
+                return original(message_id)
+
+            protocol.blocking_reason = counted
+            return protocol
+
+        async def scenario():
+            hosts = await _pair(factory, "clean")
+            for index in range(20):
+                sender = index % 2
+                hosts[sender].invoke(
+                    Message(id="m%02d" % index, sender=sender, receiver=1 - sender)
+                )
+            await _wait_until(
+                lambda: sum(host.stats.deliveries for host in hosts) == 20
+            )
+            bodies = [host.stats_body() for host in hosts]
+            ledgers = [(host.host.inhibited, host.host.buffered) for host in hosts]
+            for host in hosts:
+                await host.shutdown()
+            return bodies, ledgers
+
+        bodies, ledgers = asyncio.run(scenario())
+        assert sum(body["deliveries"] for body in bodies) == 20
+        assert [body["stuck_total"] for body in bodies] == [0, 0]
+        assert calls == []
+        assert ledgers == [({}, {}), ({}, {})]

@@ -16,6 +16,7 @@ import asyncio
 
 import pytest
 
+from repro.events import DELIVER
 from repro.faults import FaultPlan
 from repro.mc.mutations import mutation_factories
 from repro.net import run_cluster_sync
@@ -226,7 +227,11 @@ async def _two_phase_soak(base_dir, crash, recover_with_wal=True):
         for process_id, host in hosts.items():
             protocol = host.host.protocol
             state[process_id] = {
-                "delivered": set(host.host._delivered),
+                "delivered": {
+                    record.event.message_id
+                    for record in host.trace.records()
+                    if record.event.kind is DELIVER
+                },
                 "next_seq": dict(protocol._next_seq),
                 "expected": dict(protocol._expected),
                 "unacked": {
